@@ -12,13 +12,23 @@ type restricted to symbols 0 and 1.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["CharSet", "ALL_BYTES", "NO_BYTES", "BIT_ZERO", "BIT_ONE"]
+__all__ = [
+    "CharSet",
+    "ALL_BYTES",
+    "NO_BYTES",
+    "BIT_ZERO",
+    "BIT_ONE",
+    "pack_membership",
+]
 
 _FULL_MASK = (1 << 256) - 1
+#: Charsets per unpack/pack round in :func:`pack_membership`: a multiple of 8,
+#: small enough that the unpacked bits (256 bytes per set) stay a few MB.
+_PACK_CHUNK = 4096
 
 
 def _mask_of(symbols: Iterable[int]) -> int:
@@ -211,3 +221,25 @@ NO_BYTES = CharSet.none()
 #: Bit-level automata symbols.
 BIT_ZERO = CharSet.single(0)
 BIT_ONE = CharSet.single(1)
+
+
+def pack_membership(charsets: Sequence[CharSet]) -> np.ndarray:
+    """Symbol-major packed membership of a list of charsets.
+
+    Returns a ``uint8`` array of shape ``(256, ceil(n / 8))`` whose bit
+    ``i & 7`` of ``[s, i >> 3]`` is set iff ``charsets[i]`` contains ``s``.
+    The masks are joined into one buffer and unpacked by one numpy call per
+    chunk, instead of one :meth:`CharSet.to_bool_array` per set; each group
+    of eight sets is then packed across the sets, symbol by symbol.
+    """
+    n = len(charsets)
+    out = np.zeros((256, (n + 7) // 8), dtype=np.uint8)
+    for base in range(0, n, _PACK_CHUNK):
+        chunk = charsets[base : base + _PACK_CHUNK]
+        raw = b"".join(cs._mask.to_bytes(32, "little") for cs in chunk)
+        raw += bytes(32 * (-len(chunk) % 8))
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 8, 32)
+        bits = np.unpackbits(rows, axis=2, bitorder="little")
+        packed = np.packbits(bits, axis=1, bitorder="little").reshape(-1, 256)
+        out[:, base // 8 : base // 8 + len(packed)] = packed.T
+    return out

@@ -16,14 +16,13 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.automaton import Automaton
+from repro.core.charset import pack_membership
 from repro.core.elements import CounterElement, STE, StartMode
 from repro.engines.base import Engine, ReportEvent, RunResult
 from repro.engines.reference import _CounterState
 from repro.resilience.guards import GUARD_BLOCK, current_guard
 
 __all__ = ["VectorEngine", "VectorStream"]
-
-_CHUNK = 65536  # states per chunk when building the packed charset matrix
 
 
 class VectorEngine(Engine):
@@ -40,14 +39,7 @@ class VectorEngine(Engine):
 
         # Packed per-symbol membership: bit (i & 7) of _charbits[s, i >> 3]
         # is 1 iff state i matches symbol s.
-        self._charbits = np.zeros((256, (n + 7) // 8), dtype=np.uint8)
-        for base in range(0, n, _CHUNK):
-            chunk = stes[base : base + _CHUNK]
-            block = np.empty((len(chunk), 256), dtype=bool)
-            for row, ste in enumerate(chunk):
-                block[row] = ste.charset.to_bool_array()
-            packed = np.packbits(block.T, axis=1, bitorder="little")
-            self._charbits[:, base // 8 : base // 8 + packed.shape[1]] = packed
+        self._charbits = pack_membership([ste.charset for ste in stes])
 
         # Flattened successor lists (STE -> STE edges only).
         succ_lists: list[list[int]] = [[] for _ in range(n)]

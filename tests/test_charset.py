@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.charset import ALL_BYTES, BIT_ONE, BIT_ZERO, CharSet, NO_BYTES
+from repro.core.charset import (
+    ALL_BYTES,
+    BIT_ONE,
+    BIT_ZERO,
+    CharSet,
+    NO_BYTES,
+    pack_membership,
+)
 
 
 class TestConstruction:
@@ -145,3 +152,20 @@ class TestProperties:
         cs = CharSet(a)
         covered = {s for lo, hi in cs.ranges() for s in range(lo, hi + 1)}
         assert covered == a
+
+    @given(st.lists(symbol_sets, max_size=40), st.sampled_from([8, 16, 4096]))
+    def test_pack_membership_matches_per_set_arrays(self, sets, chunk):
+        """The one-buffer packing equals packing each set's bool array, for
+        any count (not only multiples of 8) and any number of chunks."""
+        import repro.core.charset as charset_module
+
+        charsets = [CharSet(a) for a in sets]
+        rows = [cs.to_bool_array() for cs in charsets] or np.zeros((0, 256), bool)
+        expected = np.packbits(np.array(rows).T, axis=1, bitorder="little")
+        original = charset_module._PACK_CHUNK
+        charset_module._PACK_CHUNK = chunk
+        try:
+            packed = pack_membership(charsets)
+        finally:
+            charset_module._PACK_CHUNK = original
+        assert packed.tolist() == expected.tolist()

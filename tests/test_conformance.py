@@ -34,7 +34,8 @@ class FaultyBitsetEngine(BitsetEngine):
     def __init__(self, automaton):
         super().__init__(automaton)
         if self._n >= 2:
-            self._succ_int[0] |= 1 << (self._n - 1)
+            self._succ_int[0] |= 1 << (self._n - 1)  # per-bit walk
+            self._shift_up.append((1, self._n - 1))  # shift arm: same edge
 
 
 class TestGenerator:
@@ -163,7 +164,7 @@ class TestFaultInjection:
         assert check(loaded, loaded_data)  # repro survives serialization
 
     def test_campaign_records_and_serialises_divergence(self, tmp_path):
-        # seed 16 is the first the injected fault trips on (see _first_caught)
+        # seed 16 is the first of 14-18 the injected fault trips on
         report = run_campaign(
             5,
             start_seed=14,

@@ -123,11 +123,13 @@ class TestBenchmarkRepr:
 
 class TestLargeCharsetAutomata:
     def test_vector_engine_chunked_charset_matrix(self):
-        """Exercise the >1-chunk path of the packed charset build."""
+        """Exercise the >1-chunk path of the packed charset build (the
+        helper VectorEngine and BitsetEngine share)."""
+        import repro.core.charset as charset_module
         import repro.engines.vector as vector_module
 
-        original = vector_module._CHUNK
-        vector_module._CHUNK = 64
+        original = charset_module._PACK_CHUNK
+        charset_module._PACK_CHUNK = 64
         try:
             from repro.regex import compile_ruleset
 
@@ -137,4 +139,4 @@ class TestLargeCharsetAutomata:
             engine = vector_module.VectorEngine(automaton)
             assert engine.count_reports(b"zz x007y zz") == 1
         finally:
-            vector_module._CHUNK = original
+            charset_module._PACK_CHUNK = original

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.core import Automaton, CharSet, CounterMode, StartMode
 from repro.engines import BitsetEngine, LazyDFAEngine, ReferenceEngine, VectorEngine
 
@@ -108,22 +109,27 @@ def test_bitset_streaming_chunks_agree(automaton, data, chunk):
 
 
 @settings(max_examples=100, deadline=None)
-@given(automaton=random_automata(with_counters=True), data=inputs)
-def test_bitset_block_path_agrees(automaton, data):
-    """The byte-word block path is semantically identical to the sparse
-    path (the density heuristic may only affect speed, never results)."""
+@given(
+    automaton=random_automata(with_counters=True),
+    data=inputs,
+    cut=st.sampled_from([0, float("inf")]),
+)
+def test_bitset_each_arm_agrees(automaton, data, cut):
+    """Forced onto either successor arm — shift groups (cut 0) or the
+    per-bit walk (cut infinity) — a fresh stream matches the reference
+    engine, counters included: the arm choice only affects speed."""
     ref = ReferenceEngine(automaton).run(data, record_active=True)
     stream = BitsetEngine(automaton).stream(record_active=True)
-    stream._use_block = True
+    stream._shift_cut = cut
     reports = stream.feed(data)
     assert reports == ref.reports
     assert stream.active_per_cycle == ref.active_per_cycle
 
 
-def test_bitset_density_heuristic_switches_paths():
-    """A dense always-matching mesh pushes the stream onto the block path;
-    a dead stretch of input drops it back to sparse.  Reports agree with
-    the reference engine across both switches."""
+def test_bitset_arm_choice_is_per_symbol():
+    """A dense always-matching band takes the shift arm from its first
+    dense symbol, a dead stretch takes neither arm, and the next dense
+    symbols take it again; reports agree with the reference engine."""
     a = Automaton("dense")
     a.add_ste("s0", CharSet.from_chars("a"), start=StartMode.ALL_INPUT)
     n_dense = 15
@@ -131,19 +137,30 @@ def test_bitset_density_heuristic_switches_paths():
         a.add_ste(f"d{i}", CharSet.from_chars("a"), report=(i == 0), report_code=i)
         a.add_edge("s0", f"d{i}")
     for i in range(n_dense):
-        for j in range(n_dense):
+        for j in range(max(0, i - 1), min(n_dense, i + 2)):
             a.add_edge(f"d{i}", f"d{j}")
     data = b"a" * 600 + b"b" * 600 + b"a" * 10
-    ref = ReferenceEngine(a).run(data)
-    stream = BitsetEngine(a).stream()
-    assert not stream._use_block
-    reports = stream.feed(b"a" * 600)
-    assert stream._use_block  # dense stretch: matched count >> cutover
-    reports += stream.feed(b"b" * 600)
-    assert not stream._use_block  # dead stretch: back to the sparse path
-    reports += stream.feed(b"a" * 10)
+    ref = ReferenceEngine(a).run(data, record_active=True)
+    telemetry.reset()
+    telemetry.enable()
+    try:
+        stream = BitsetEngine(a).stream(record_active=True)
+        shifted = []
+        reports = []
+        for chunk in (b"a" * 600, b"b" * 600, b"a" * 10):
+            reports += stream.feed(chunk)
+            shifted.append(telemetry.counter_value("engine.shift_symbols.bitset"))
+    finally:
+        telemetry.disable()
+        telemetry.reset()
+    # At most 17 offsets (s0's fifteen, and -1, 0, 1 in the band), so the
+    # cut is at most 8.5.  Symbol 0 and the first "a" after the dead
+    # stretch match only the start state; every other "a" matches all
+    # fifteen band states.
+    assert shifted == [599, 599, 608]
     reports.sort()
     assert reports == ref.reports
+    assert stream.active_per_cycle == ref.active_per_cycle
 
 
 @settings(max_examples=50, deadline=None)

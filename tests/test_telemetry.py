@@ -6,6 +6,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 import pytest
 
 from repro import telemetry
+from repro.benchmarks import build_benchmark
 from repro.engines import (
     BitsetEngine,
     LazyDFAEngine,
@@ -150,6 +151,20 @@ class TestEngineInstrumentation:
             assert telemetry.counter_value(f"engine.reports.{label}", snap) == 1
             assert snap["timers"][f"engine.compile.{label}"]["count"] == 1
             assert snap["timers"][f"engine.scan.{label}"]["count"] >= 1
+
+    def test_dense_mesh_takes_shift_arm_from_its_first_symbols(self):
+        """Levenshtein 37x10 keeps thousands of states matched, so its first
+        200 symbols already take the shift arm (the arm is chosen per
+        symbol, not after a 512-symbol density sample); the compile records
+        its offset count."""
+        bench = build_benchmark("Levenshtein 37x10", scale=0.01)
+        telemetry.enable()
+        engine = BitsetEngine(bench.automaton)
+        engine.run(bench.input_data[:200])
+        assert telemetry.counter_value("engine.shift_symbols.bitset") > 0
+        assert telemetry.counter_value("engine.shift_offsets.bitset") == len(
+            engine._shift_up
+        ) + len(engine._shift_down)
 
     def test_lazydfa_memo_counters(self):
         telemetry.enable()
