@@ -12,7 +12,7 @@ breaks a benchmark's semantics fails these checks at every scale.
 from __future__ import annotations
 
 from repro.benchmarks.spec import Benchmark
-from repro.engines.vector import VectorEngine
+from repro.engines.cache import auto_engine
 from repro.profiling.analytic import hamming_match_probability
 
 __all__ = ["verify_benchmark"]
@@ -21,7 +21,7 @@ _INPUT_SLICE = 20_000
 
 
 def _run(benchmark: Benchmark, *, record_active: bool = False):
-    engine = VectorEngine(benchmark.automaton)
+    engine = auto_engine(benchmark.automaton)
     return engine.run(benchmark.input_data[:_INPUT_SLICE], record_active=record_active)
 
 
@@ -37,7 +37,7 @@ def _verify_structure(benchmark: Benchmark, problems: list[str]) -> None:
 
 
 def _verify_clamav(benchmark: Benchmark, problems: list[str]) -> None:
-    result = VectorEngine(benchmark.automaton).run(benchmark.input_data)
+    result = auto_engine(benchmark.automaton).run(benchmark.input_data)
     detected = {event.code for event in result.reports}
     missing = set(benchmark.meta.get("planted", ())) - detected
     if missing:
@@ -45,7 +45,7 @@ def _verify_clamav(benchmark: Benchmark, problems: list[str]) -> None:
 
 
 def _verify_yara(benchmark: Benchmark, problems: list[str]) -> None:
-    result = VectorEngine(benchmark.automaton).run(benchmark.input_data)
+    result = auto_engine(benchmark.automaton).run(benchmark.input_data)
     fired_rules = {event.code[0] for event in result.reports}
     planted = set(benchmark.meta.get("planted", ()))
     # wide benchmarks include only wide strings; planted rules without

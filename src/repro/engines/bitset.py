@@ -13,12 +13,9 @@ not:
 
 * **Masks are CPython big integers**, not numpy arrays.  A big int *is* a
   packed word array operated on in C, and a whole-mask AND/OR is a single
-  interpreter call with no per-call numpy dispatch overhead.  (Measured on
-  the Snort ablation: a numpy ``uint64[words]`` variant of the same loop —
-  ``bitwise_and(out=)`` + ``flatnonzero`` gather/OR-reduce with fully
-  preallocated scratch — runs 10-20x *slower* than the big-int loop,
-  because three-to-six numpy calls per symbol cost more than the whole
-  step.  This is the same engineering lesson as the repo's
+  interpreter call.  (On the Snort ablation a numpy ``uint64[words]`` loop
+  with preallocated scratch ran 10-20x *slower*: three-to-six numpy calls
+  per symbol cost more than the whole step, as in the repo's
   :class:`~repro.baselines.shift_and.ShiftAndMatcher`.)
 * **ALL_INPUT start states are lifted out of the loop.**  Their matches
   depend only on the current symbol, so their successor-OR, report lists
@@ -29,8 +26,9 @@ not:
 Successor propagation takes one of two arms, chosen per symbol from the
 popcount of the matched mask ``m`` that the loop computes anyway:
 
-* **per-bit walk** — visit the matched bits (``m & -m``) and OR each
-  state's successor mask; cost proportional to the matched count.
+* **per-bit walk** — visit the matched bits, highest first (``bit_length``)
+  and OR in each state's shifted successor pattern; cost proportional to
+  the matched count.
 * **shift arm** — Hyperscan's LimEx step.  Edges are grouped by offset
   ``k = dst - src`` and the step is ``next |= (m & src_mask_k) << k`` per
   group; cost proportional to the offset count, whatever the density.
@@ -43,22 +41,22 @@ At scale 0.01, Levenshtein 37x10 falls from 2 750 offsets to 330 and
 CRISPR CasOT from 460 to 68; rule sets keep generator order (at most
 seven offsets).  Results do not depend on the numbering.
 
-The shift arm replaced a byte-word "block" walk over a lazily memoised
-lookup table, chosen per 512-symbol chunk once the matched count passed
-n/4.  On Levenshtein 37x10's first 2 000 symbols (2-vCPU Xeon VM) it
-scanned in 3.4 s as dispatched and 2.5 s forced on; the shift arm: 0.47 s.
+The shift arm replaced a byte-word "block" walk over a memoised lookup
+table (Levenshtein 37x10, first 2 000 symbols, 2-vCPU Xeon VM: 2.5 s with
+the block walk forced on, 0.47 s on the shift arm).
 
-Per-state successor bitmasks are inherently O(n^2) bits in the worst case,
-so construction refuses automata above ``max_states`` (default 65536) with
-:class:`~repro.errors.CapacityError`; use
-:func:`repro.engines.cache.auto_engine` to fall back to ``VectorEngine``
-for the multi-million-state full-scale builds.
+Memory grows linearly, so automata of any size compile.  The per-bit walk
+reads each state's interned ``(pattern, lowest offset)`` pair: state ``i``'s
+successors are ``pattern << (i + lowest)``, so the engine keeps n references
+and the distinct patterns (ClamAV at 71k states: 8).  Shift groups take n
+bits per offset, the per-symbol tables two n-bit masks per byte value.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import chain
+from itertools import accumulate, chain, compress
+from operator import attrgetter
 
 import numpy as np
 
@@ -68,7 +66,6 @@ from repro.core.charset import pack_membership
 from repro.core.elements import STE, StartMode
 from repro.engines.base import Engine, ReportEvent, RunResult
 from repro.engines.reference import _CounterState
-from repro.errors import CapacityError
 from repro.resilience.guards import current_guard
 
 __all__ = ["BitsetEngine", "BitsetStream"]
@@ -86,15 +83,16 @@ def _flag_int(flags) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def _pack_rows(keys: np.ndarray, bits: np.ndarray) -> tuple[list[int], list[int]]:
+def _pack_rows(keys: np.ndarray, bits: np.ndarray) -> tuple[list, list, list]:
     """Pack ``(key, bit)`` pairs into one big int per distinct key.
 
-    Returns the sorted distinct keys and, for each, the int with every
-    paired bit set.  A key's bits are packed over their own span only, so
-    one ``np.packbits`` call does work proportional to the ints' size.
+    Returns the sorted distinct keys and, for each, its lowest paired bit
+    ``lo`` and the int with bit ``b - lo`` set for every paired bit ``b``.
+    A key's bits are packed over their own span only, so one
+    ``np.packbits`` call does work proportional to the ints' size.
     """
     if not len(keys):
-        return [], []
+        return [], [], []
     order = np.argsort(keys, kind="stable")
     keys, bits = keys[order], bits[order]
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
@@ -105,11 +103,10 @@ def _pack_rows(keys: np.ndarray, bits: np.ndarray) -> tuple[list[int], list[int]
     flat = np.zeros(int(ends[-1]) * 8, dtype=bool)
     flat[((ends - width)[row] << 3) + bits - lo[row]] = True
     buf = np.packbits(flat, bitorder="little").tobytes()
-    ints = [
-        int.from_bytes(buf[b - w : b], "little") << shift
-        for b, w, shift in zip(ends.tolist(), width.tolist(), lo.tolist())
-    ]
-    return keys[starts].tolist(), ints
+    widths = width.tolist()  # small shared ints; no list of n ends is kept
+    spans = zip(widths, accumulate(widths))
+    ints = [int.from_bytes(buf[b - w : b], "little") for w, b in spans]
+    return keys[starts].tolist(), ints, lo.tolist()
 
 
 def _cuthill_mckee(n: int, src: np.ndarray, dst: np.ndarray) -> list[int]:
@@ -147,9 +144,10 @@ def _cuthill_mckee(n: int, src: np.ndarray, dst: np.ndarray) -> list[int]:
 
 def _numbering(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
     """Old -> new state index minimising distinct offsets; ``None`` keeps
-    generator order (also on ties, and when it already has one offset)."""
+    generator order (also on ties, and when it needs no more offsets than
+    the largest out-degree, which no numbering can beat)."""
     generator = np.unique(dst - src).size
-    if generator <= 1:
+    if generator <= np.bincount(src).max(initial=0):
         return None
     rank = np.empty(n, dtype=np.int32)
     rank[_cuthill_mckee(n, src, dst)] = np.arange(n, dtype=np.int32)
@@ -159,69 +157,43 @@ def _numbering(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray | None:
 class BitsetEngine(Engine):
     """Bit-parallel active-set simulation of a homogeneous automaton."""
 
-    def __init__(self, automaton: Automaton, *, max_states: int = 65536) -> None:
-        stes: list[STE] = list(automaton.stes())
-        n = len(stes)
-        if n > max_states:
-            raise CapacityError(
-                f"automaton has {n} STEs; BitsetEngine's per-state successor "
-                f"bitmasks are quadratic, so it is capped at {max_states} "
-                "states (use VectorEngine or raise max_states)"
-            )
+    def __init__(self, automaton: Automaton) -> None:
         super().__init__(automaton)
         compile_t0 = telemetry.clock()
+        stes: list[STE] = list(automaton.stes())
+        n = len(stes)
 
-        # The one walk over the edges, as index pairs: it feeds the
-        # numbering, the successor masks and the shift groups.  Counters
-        # take indices from n up, so an edge into a counter has dst >= n.
-        idents = [ste.ident for ste in stes]
+        # The one walk over the edges, as index pairs (counters take indices
+        # from n up, so an edge into a counter has dst >= n).  Successor lists
+        # are dropped as read: kept, they made the GC rescan the whole heap.
+        idents = list(map(attrgetter("ident"), stes))
         counter_ids = [c.ident for c in automaton.counters()]
-        index = {ident: i for i, ident in enumerate(idents + counter_ids)}
-        out = list(map(automaton.successors, idents))
-        lengths = np.fromiter(map(len, out), np.int64, n)
+        index = {ident: i for i, ident in enumerate(chain(idents, counter_ids))}
+        lengths = np.fromiter(map(automaton.out_degree, idents), np.int64, n)
         src = np.repeat(np.arange(n, dtype=np.int32), lengths)
-        dst = np.fromiter(
-            map(index.__getitem__, chain.from_iterable(out)), np.int32, len(src)
-        )
+        ends = chain.from_iterable(map(automaton.successors, idents))
+        dst = np.fromiter(map(index.__getitem__, ends), np.int32, len(src))
         feeds: dict[int, tuple[str, ...]] = {}
         into = dst >= n
         if into.any():
             for i, c in zip(src[into].tolist(), dst[into].tolist()):
                 feeds[i] = feeds.get(i, ()) + (counter_ids[c - n],)
             src, dst = src[~into], dst[~into]
-        rank = _numbering(n, src, dst)
-        if rank is not None:
-            stes = [stes[i] for i in np.argsort(rank).tolist()]
+        if (rank := _numbering(n, src, dst)) is not None:
+            order = np.argsort(rank).tolist()
+            stes = [stes[i] for i in order]
+            idents = [idents[i] for i in order]
             src, dst = rank[src], rank[dst]
             feeds = {int(rank[i]): f for i, f in feeds.items()}
-            index.update((ste.ident, i) for i, ste in enumerate(stes))
-        self._idents = [ste.ident for ste in stes]
+            index.update(zip(idents, range(n)))
+        self._idents = idents
         self._n = n
-
-        # Shift groups by offset sign (packed first: a lower memory peak).
-        offsets, sources = _pack_rows(dst - src, src)
-        self._shift_up = [(m, k) for k, m in zip(offsets, sources) if k >= 0]
-        self._shift_down = [(m, -k) for k, m in zip(offsets, sources) if k < 0]
-        self._shift_cut = _SHIFT_FRACTION * len(offsets)
-        self._succ_int = succ = [0] * n
-        for i, mask in zip(*_pack_rows(src, dst)):
-            succ[i] = mask
-
         self._counter_feeds = feeds
         self._reset_feeds: dict[int, tuple[str, ...]] = {}
         for source, counter in automaton.reset_edges():
             i = index.get(source, n)
             if i < n:
                 self._reset_feeds[i] = self._reset_feeds.get(i, ()) + (counter,)
-        self._report_int = _flag_int(ste.report for ste in stes)
-        self._report_codes = [ste.report_code for ste in stes]
-        fed_or_reset = feeds.keys() | self._reset_feeds.keys()
-        self._feed_int = _flag_int(i in fed_or_reset for i in range(n))
-        all_input = _flag_int(ste.start is StartMode.ALL_INPUT for ste in stes)
-        self._not_all = ~all_input
-        self._all_count = all_input.bit_count()
-        self._initial_rest = _flag_int(s.start is StartMode.START_OF_DATA for s in stes)
-
         # Counters (rare; handled per-event in Python, as in VectorEngine).
         self._counters = {c.ident: c for c in automaton.counters()}
         self._counter_succ_int = {  # edges are unique, so the sum is an OR
@@ -229,44 +201,70 @@ class BitsetEngine(Engine):
             for c in self._counters
         }
         self._has_counters = bool(self._counters)
+        del index
+
+        # Shift groups by offset sign, then each state's successors as an
+        # interned (pattern, lowest offset) pair: linear memory, not n^2.
+        off = dst - src
+        offsets, groups, lows = _pack_rows(off, src)
+        shifts = [(g << lo, k) for k, g, lo in zip(offsets, groups, lows)]
+        self._shift_up = [(g, k) for g, k in shifts if k >= 0]
+        self._shift_down = [(g, -k) for g, k in shifts if k < 0]
+        self._shift_cut = _SHIFT_FRACTION * len(offsets)
+        patterns: dict[tuple[int, int], tuple[int, int]] = {}
+        self._succ = succ = [(0, 0)] * n
+        for i, pattern, lo in zip(*_pack_rows(src, off)):
+            succ[i] = patterns.setdefault((pattern, lo), (pattern, lo))
+        del src, dst, off
+
+        self._report_int = _flag_int(map(attrgetter("report"), stes))
+        self._report_codes = list(map(attrgetter("report_code"), stes))
+        fed_or_reset = feeds.keys() | self._reset_feeds.keys()
+        self._feed_int = _flag_int(map(fed_or_reset.__contains__, range(n)))
+        starts = list(map(attrgetter("start"), stes))
+        is_all = [s is StartMode.ALL_INPUT for s in starts]
+        all_input = _flag_int(is_all)
+        self._not_all = ~all_input
+        self._all_count = all_input.bit_count()
+        self._initial_rest = _flag_int(s is StartMode.START_OF_DATA for s in starts)
 
         # ALL_INPUT start states match as a function of the symbol alone:
         # precompute their successor-OR, reports, and counter feed/reset
         # events once per symbol so the hot loop never touches them.  The
         # states are merged per distinct charset first (few per benchmark).
         by_charset: dict = {}
-        for i, ste in enumerate(stes):
-            if ste.start is StartMode.ALL_INPUT:
-                by_charset.setdefault(ste.charset, []).append(i)
+        for i in compress(range(n), is_all):
+            by_charset.setdefault(stes[i].charset, []).append(i)
         start_next = [0] * 256
         start_reports: list[tuple[int, ...]] = [()] * 256
         start_events: list[tuple[str, ...]] = [()] * 256
         start_resets: list[tuple[str, ...]] = [()] * 256
+        self._start_events, self._start_resets = start_events, start_resets
         for charset, members in by_charset.items():
             nxt = 0
             reps = fed = resets = ()
             for i in members:
-                nxt |= succ[i]
+                pattern, lo = succ[i]
+                nxt |= pattern << (i + lo)
                 reps += (i,) if stes[i].report else ()
                 fed += feeds.get(i, ())
                 resets += self._reset_feeds.get(i, ())
+            nxt &= self._not_all
             for sym in charset:
                 start_next[sym] |= nxt
                 start_reports[sym] += reps
                 start_events[sym] += fed
                 start_resets[sym] += resets
-        self._start_events = start_events
-        self._start_resets = start_resets
         # Fused per-symbol row (membership mask, premasked start successors,
         # sorted start reports): one list index in the hot loop.
-        charbits = pack_membership([ste.charset for ste in stes])
-        not_all = self._not_all
+        charbits = pack_membership(list(map(attrgetter("charset"), stes)))
         self._sym_tab = [
-            (int.from_bytes(row.tobytes(), "little"), nxt & not_all, tuple(sorted(r)))
+            (int.from_bytes(row.tobytes(), "little"), nxt, tuple(sorted(r)))
             for row, nxt, r in zip(charbits, start_next, start_reports)
         ]
         telemetry.record_compile("bitset", compile_t0, n)
         telemetry.incr("engine.shift_offsets.bitset", len(offsets))
+        telemetry.incr("engine.succ_patterns.bitset", len(patterns))
 
     # -- execution ---------------------------------------------------------
 
@@ -339,7 +337,7 @@ class BitsetStream:
         """
         engine = self._engine
         tab = engine._sym_tab
-        succ = engine._succ_int
+        succ = engine._succ
         shift_up = engine._shift_up
         shift_down = engine._shift_down
         cut = self._shift_cut
@@ -388,9 +386,10 @@ class BitsetStream:
                 else:
                     mm = m
                     while mm:
-                        low = mm & -mm
-                        nxt |= succ[low.bit_length() - 1]
-                        mm ^= low
+                        i = mm.bit_length() - 1
+                        pattern, lo = succ[i]
+                        nxt |= pattern << (i + lo)
+                        mm ^= 1 << i
                 if has_counters and (
                     start_events[sym] or start_resets[sym] or m & feed_int
                 ):

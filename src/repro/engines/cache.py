@@ -48,8 +48,8 @@ from repro import telemetry
 from repro.core.automaton import Automaton
 from repro.core.elements import CounterElement, STE
 from repro.engines.base import Engine
+from repro.engines.bitset import BitsetEngine
 from repro.engines.vector import VectorEngine
-from repro.errors import CapacityError
 
 __all__ = [
     "automaton_fingerprint",
@@ -171,20 +171,13 @@ def compiled_engine(
     return engine
 
 
-def auto_engine(automaton: Automaton, **options) -> Engine:
+def auto_engine(automaton: Automaton) -> Engine:
     """The best general-purpose CPU engine for this automaton, cached.
 
-    :class:`~repro.engines.bitset.BitsetEngine` when the automaton fits
-    under its quadratic-successor-mask cap, else
-    :class:`~repro.engines.vector.VectorEngine` (whose CSR successor
-    tables scale to the multi-million-state full-size builds).
+    :class:`~repro.engines.bitset.BitsetEngine`, whose memory grows
+    linearly with the automaton, so it takes automata of every size.
     """
-    from repro.engines.bitset import BitsetEngine
-
-    try:
-        return compiled_engine(automaton, BitsetEngine, **options)
-    except CapacityError:
-        return compiled_engine(automaton, VectorEngine)
+    return compiled_engine(automaton, BitsetEngine)
 
 
 @dataclass(frozen=True)

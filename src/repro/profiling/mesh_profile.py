@@ -13,8 +13,9 @@ Two measurement paths are provided:
   (vectorised window scan for Hamming, Myers bit-parallel for
   Levenshtein).  The mesh automata are property-tested equivalent to these
   oracles, so this is a *validated* acceleration of the paper's VASim runs.
-* ``method="automata"`` runs the actual mesh automata on the VectorEngine,
-  which is exactly the paper's procedure (use reduced ``n_symbols``).
+* ``method="automata"`` runs the actual mesh automata on
+  :func:`~repro.engines.cache.auto_engine`, which is exactly the paper's
+  procedure (use reduced ``n_symbols``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.baselines.matchers import MyersMatcher, hamming_matches
 from repro.benchmarks.mesh import hamming_automaton, levenshtein_automaton
-from repro.engines.vector import VectorEngine
+from repro.engines.cache import auto_engine
 from repro.inputs.dna import random_dna, random_dna_patterns
 
 __all__ = ["ProfilePoint", "measure_rate", "select_pattern_length", "figure1_sweep"]
@@ -51,7 +52,7 @@ def _count_matches(kernel: str, pattern: bytes, data: bytes, d: int, method: str
             automaton = hamming_automaton(pattern, d)
         else:
             automaton = levenshtein_automaton(pattern, d)
-        result = VectorEngine(automaton).run(data)
+        result = auto_engine(automaton).run(data)
         return len({r.offset for r in result.reports})
     raise ValueError(f"unknown method {method!r}")
 

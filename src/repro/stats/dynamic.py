@@ -58,9 +58,8 @@ def measure_dynamic(
 ) -> DynamicStats:
     """Run ``automaton`` over ``data`` and summarise dynamic behaviour."""
     if engine is None:
-        # Bitset when the automaton fits its cap, Vector otherwise; either
-        # way compiled once per structure via the engine cache, so Table I
-        # sweeps do not recompile per metric.
+        # The bitset engine, compiled once per structure via the engine
+        # cache, so Table I sweeps do not recompile per metric.
         engine = auto_engine(automaton)
     with telemetry.span("stats.measure_dynamic"):
         result = engine.run(data, record_active=True)

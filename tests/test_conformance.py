@@ -34,7 +34,10 @@ class FaultyBitsetEngine(BitsetEngine):
     def __init__(self, automaton):
         super().__init__(automaton)
         if self._n >= 2:
-            self._succ_int[0] |= 1 << (self._n - 1)  # per-bit walk
+            pattern, lo = self._succ[0]  # per-bit walk: successors of 0
+            mask = pattern << lo | 1 << (self._n - 1)
+            lo = (mask & -mask).bit_length() - 1
+            self._succ[0] = (mask >> lo, lo)
             self._shift_up.append((1, self._n - 1))  # shift arm: same edge
 
 
@@ -143,6 +146,8 @@ class TestFaultInjection:
     def test_fault_is_caught_and_shrunk_to_tiny_repro(self, tmp_path):
         case, divergences = self._first_caught()
         subject = divergences[0].subject
+        # a divergence in the scan's output, not the faulty engine crashing
+        assert divergences[0].field != "crash", divergences[0]
 
         def check(a, d):
             return any(

@@ -7,6 +7,7 @@ import pytest
 from repro.core import Automaton, CharSet, StartMode
 from repro.engines import (
     BitsetEngine,
+    LazyDFAEngine,
     ReferenceEngine,
     VectorEngine,
     auto_engine,
@@ -93,9 +94,10 @@ class TestCompiledEngine:
 
     def test_options_part_of_key(self):
         a = literal()
-        e1 = compiled_engine(a, BitsetEngine, max_states=100)
-        e2 = compiled_engine(a, BitsetEngine, max_states=200)
+        e1 = compiled_engine(a, LazyDFAEngine, max_dfa_states=100)
+        e2 = compiled_engine(a, LazyDFAEngine, max_dfa_states=200)
         assert e1 is not e2
+        assert e1 is compiled_engine(a, LazyDFAEngine, max_dfa_states=100)
 
     def test_hit_miss_accounting(self):
         a = literal()
@@ -177,9 +179,15 @@ class TestAutoEngine:
     def test_picks_bitset_when_small(self):
         assert type(auto_engine(literal())) is BitsetEngine
 
-    def test_falls_back_to_vector_over_cap(self):
-        eng = auto_engine(literal(), max_states=1)
-        assert type(eng) is VectorEngine
+    def test_bitset_above_65536_states(self):
+        a = Automaton("long")  # a 70 000-state chain
+        a.add_ste("s0", CharSet.from_chars("a"), start=StartMode.ALL_INPUT)
+        for i in range(1, 70_000):
+            a.add_ste(f"s{i}", CharSet.from_chars("b"), report=i in (2, 69_999))
+            a.add_edge(f"s{i - 1}", f"s{i}")
+        eng = auto_engine(a)
+        assert type(eng) is BitsetEngine
+        assert eng.count_reports(b"abbb") == 1
 
 
 class TestTypeRevalidation:

@@ -1,5 +1,9 @@
 """Behavioural tests for all engines against hand-computed expectations."""
 
+import gc
+import random
+import tracemalloc
+
 import pytest
 
 from repro.core import Automaton, CharSet, CounterMode, StartMode
@@ -169,15 +173,58 @@ class TestCounters:
 
 
 class TestBitsetSpecifics:
-    def test_capacity_cap_enforced(self):
-        # Successor bitmasks are quadratic, so construction refuses large
-        # automata instead of silently eating memory.
-        with pytest.raises(CapacityError):
-            BitsetEngine(unanchored_literal("abcd"), max_states=2)
+    def test_compiles_above_65536_states(self):
+        # 70 000 STEs, past the 65 536-state cap the engine had while its
+        # per-state successor masks were quadratic: it must compile and
+        # still agree with the reference, active set included.
+        rng = random.Random(5)
+        a = Automaton("above-cap")
+        words = [bytes(rng.choice(b"abcd") for _ in range(35)) for _ in range(2000)]
+        for w, word in enumerate(words):
+            for i, ch in enumerate(word):
+                a.add_ste(
+                    f"w{w}_{i}",
+                    CharSet.from_chars(chr(ch)),
+                    start=StartMode.ALL_INPUT if i == 0 else StartMode.NONE,
+                    report=i == len(word) - 1,
+                    report_code=w,
+                )
+                if i:
+                    a.add_edge(f"w{w}_{i - 1}", f"w{w}_{i}")
+        data = bytes(rng.choice(b"abcd") for _ in range(200))
+        data += words[7] + data[:100] + words[1999]
+        eng = BitsetEngine(a)
+        got = eng.run(data, record_active=True)
+        ref = ReferenceEngine(a).run(data, record_active=True)
+        assert eng._n == 70_000
+        assert got.reports == ref.reports
+        assert {r.code for r in got.reports} >= {7, 1999}
+        assert got.active_per_cycle == ref.active_per_cycle
 
-    def test_raised_cap_accepted(self):
-        eng = BitsetEngine(unanchored_literal("ab"), max_states=2)
-        assert eng.count_reports(b"xabx") == 1
+    def test_retained_memory_grows_linearly(self):
+        # Quadratic per-state successor masks would grow 4x when the state
+        # count doubles; the engine must stay near 2x.
+        def retained(n):
+            a = Automaton("chain")
+            for i in range(n):
+                start = StartMode.ALL_INPUT if i % 50 == 0 else StartMode.NONE
+                a.add_ste(f"s{i}", CharSet.from_chars("abcd"[i % 4]), start=start)
+                if i % 50:
+                    a.add_edge(f"s{i - 1}", f"s{i}")
+            BitsetEngine(a)  # one-off first-use allocations are not the engine's
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                engine = BitsetEngine(a)
+                gc.collect()
+                size = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert engine.count_reports(b"abcd") == 0
+            return size
+
+        assert retained(16_000) <= 2.2 * retained(8_000)
 
 
 class TestLazyDFASpecifics:

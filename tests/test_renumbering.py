@@ -8,7 +8,8 @@ and edges inserted in a seeded-random and in reversed order, then scanned
 whole and in chunks of 511, 513 and 1 500 symbols, under a scan guard (so
 the feed loop also steps in 512-symbol deadline blocks) and, whole, without
 one; reports and active-set traces must equal the reference engine's on the
-original.
+original.  ClamAV above 65 536 states, where the engine used to refuse to
+compile, is scanned the same way.
 """
 
 import random
@@ -70,3 +71,16 @@ def test_bitset_is_renumbering_invariant(name):
             reports, active = _scan(engine, data, chunk, guarded)
             assert reports == ref.reports, (order.__name__, chunk, guarded)
             assert active == ref.active_per_cycle, (order.__name__, chunk, guarded)
+
+
+@pytest.mark.slow
+def test_bitset_above_65536_states_matches_reference():
+    bench = build_benchmark("ClamAV", scale=0.1, seed=GOLDEN_SEED)
+    assert bench.automaton.n_states > 65_536
+    data = bench.input_data[:1500]
+    ref = ReferenceEngine(bench.automaton).run(data, record_active=True)
+    engine = BitsetEngine(bench.automaton)
+    for chunk, guarded in SCANS:
+        reports, active = _scan(engine, data, chunk, guarded)
+        assert reports == ref.reports, (chunk, guarded)
+        assert active == ref.active_per_cycle, (chunk, guarded)

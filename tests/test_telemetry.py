@@ -156,7 +156,7 @@ class TestEngineInstrumentation:
         """Levenshtein 37x10 keeps thousands of states matched, so its first
         200 symbols already take the shift arm (the arm is chosen per
         symbol, not after a 512-symbol density sample); the compile records
-        its offset count."""
+        its offset and successor-pattern counts."""
         bench = build_benchmark("Levenshtein 37x10", scale=0.01)
         telemetry.enable()
         engine = BitsetEngine(bench.automaton)
@@ -165,6 +165,9 @@ class TestEngineInstrumentation:
         assert telemetry.counter_value("engine.shift_offsets.bitset") == len(
             engine._shift_up
         ) + len(engine._shift_down)
+        assert telemetry.counter_value("engine.succ_patterns.bitset") == len(
+            {pair for pair in engine._succ if pair[0]}
+        )
 
     def test_lazydfa_memo_counters(self):
         telemetry.enable()
